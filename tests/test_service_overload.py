@@ -584,7 +584,9 @@ class _ScriptedServer:
     A part is either response bytes to write after reading the request
     head, or ``None`` to slam the connection shut (ambiguous failure).
     The arrival time and first request line of every connection are
-    recorded.
+    recorded.  Once the script is exhausted the listener closes, so any
+    further attempt is refused at once instead of waiting in the accept
+    backlog for the client's timeout.
     """
 
     def __init__(self, parts):
@@ -624,6 +626,10 @@ class _ScriptedServer:
                     conn.close()
                 except OSError:
                     pass
+        try:
+            self.listener.close()
+        except OSError:
+            pass
 
     def close(self):
         try:
