@@ -108,11 +108,11 @@ class FaultPlan:
     delay_times: int = 1
     #: garble the next checkpoint written by the session (bad checksum)
     corrupt_checkpoint: bool = False
-    #: kill the worker while it materializes a *flat-shipped* (CSR)
-    #: graph snapshot — the thaw-and-replay path of
+    #: kill the worker while it materializes the shipped (CSR) graph
+    #: snapshot — the thaw-and-replay path of
     #: :func:`repro.engine.worker.materialize_graph`; same eligibility
-    #: rule as ``kill_on_task`` but fires only for tasks that carry
-    #: flat arrays, so it proves the CSR shipping path recovers too
+    #: rule as ``kill_on_task``, so it proves the CSR shipping path
+    #: recovers too
     kill_on_materialize: Optional[int] = None
     materialize_times: int = 1
     #: named service fault point (see :mod:`repro.service.journal` /
@@ -235,10 +235,10 @@ class FaultPlan:
     def inject_materialize(self, task_index: int) -> None:
         """Fire the flat-materialization kill, if due (worker side).
 
-        Called from :func:`repro.engine.worker.materialize_graph` only
-        on the flat-shipping path — the moment the worker starts
-        thawing the shared CSR snapshot — so recovery is exercised
-        while the task's graph exists only as shipped arrays.
+        Called from :func:`repro.engine.worker.materialize_graph` —
+        the moment the worker starts thawing the shared CSR snapshot —
+        so recovery is exercised while the task's graph exists only as
+        shipped arrays.
         """
         if (
             self.kill_on_materialize is not None

@@ -55,7 +55,6 @@ from ..fpga.architecture import Architecture
 from ..fpga.netlist import PlacedCircuit, PlacedNet
 from ..fpga.routing_graph import RoutingResourceGraph
 from ..graph.core import Graph
-from ..graph.flat import resolve_graph_backend
 from ..graph.shortest_paths import (
     DijkstraCounters,
     ShortestPathCache,
@@ -234,7 +233,6 @@ class RoutingSession:
                 "route_timeout_s": cfg.route_timeout_s,
                 "max_relaxations": cfg.max_relaxations,
                 "search": cfg.search,
-                "graph_backend": cfg.graph_backend,
                 "verify": cfg.verify,
                 "mode": cfg.mode,
                 "timing": cfg.timing,
@@ -895,9 +893,6 @@ class RoutingSession:
         cfg = self.config
         supervisor = self._supervisor
         chunk_size = max(1, self.max_workers or default_workers())
-        ship_flat = (
-            resolve_graph_backend(cfg.graph_backend, rrg.graph) == "flat"
-        )
         for lo in range(0, len(targets), chunk_size):
             chunk = targets[lo:lo + chunk_size]
             self._check_deadline(
@@ -907,7 +902,7 @@ class RoutingSession:
                 state.remove_tree(placed.name)
             factors = state.sparse_factors()
             collect = supervisor.current == "process"
-            base_flat = rrg.graph.freeze().flat if ship_flat else None
+            base_flat = rrg.graph.freeze().flat
             tasks: List[NegotiationTask] = []
             for placed in chunk:
                 net = placed.to_graph_net()
@@ -918,15 +913,6 @@ class RoutingSession:
                         for s in net.sinks
                         if slack.criticality(placed.name, s) > 0.0
                     }
-                if ship_flat:
-                    snapshot = None
-                    taps = {
-                        pn: rrg.pin_taps(pn) for pn in net.terminals
-                    }
-                else:
-                    snapshot = rrg.graph.copy()
-                    rrg.attach_pins(net.terminals, graph=snapshot)
-                    taps = None
                 tasks.append(
                     NegotiationTask(
                         name=placed.name,
@@ -934,9 +920,10 @@ class RoutingSession:
                         config=cfg,
                         factors=factors,
                         criticalities=crits,
-                        graph=snapshot,
                         flat=base_flat,
-                        pin_taps=taps,
+                        pin_taps={
+                            pn: rrg.pin_taps(pn) for pn in net.terminals
+                        },
                         collect_counters=collect,
                         index=self._task_counter,
                         faults=self.faults,
@@ -1243,14 +1230,11 @@ class RoutingSession:
             deadline, pass_no, cfg.pass_timeout_s, routes, failed
         )
         collect_counters = supervisor.current == "process"
-        # Flat shipping: one frozen CSR of the pinless base graph is
-        # shared by every task in the batch (and pickled once per
-        # worker), with per-net pin taps replayed worker-side; the
-        # materialized snapshot is identical to the dict copy.
-        ship_flat = (
-            resolve_graph_backend(cfg.graph_backend, rrg.graph) == "flat"
-        )
-        base_flat = rrg.graph.freeze().flat if ship_flat else None
+        # One frozen CSR of the pinless base graph is shared by every
+        # task in the batch (and pickled once per worker), with per-net
+        # pin taps replayed worker-side; the materialized graph is
+        # identical to a copy of the live graph with the pins attached.
+        base_flat = rrg.graph.freeze().flat
         tasks: List[Optional[NetTask]] = []
         for placed in batch:
             algo = router.effective_algorithm(placed, critical)
@@ -1258,22 +1242,16 @@ class RoutingSession:
                 tasks.append(None)
                 continue
             net = placed.to_graph_net()
-            if ship_flat:
-                snapshot = None
-                taps = {pn: rrg.pin_taps(pn) for pn in net.terminals}
-            else:
-                snapshot = rrg.graph.copy()
-                rrg.attach_pins(net.terminals, graph=snapshot)
-                taps = None
             tasks.append(
                 NetTask(
                     name=placed.name,
                     net=net,
                     algo=algo,
                     config=self.config,
-                    graph=snapshot,
                     flat=base_flat,
-                    pin_taps=taps,
+                    pin_taps={
+                        pn: rrg.pin_taps(pn) for pn in net.terminals
+                    },
                     collect_counters=collect_counters,
                     index=self._task_counter,
                     faults=self.faults,

@@ -1,10 +1,11 @@
 """The speculative per-net routing task executed by engine workers.
 
 A :class:`NetTask` carries everything a worker needs to route one net
-*without touching shared state*: a snapshot of the routing graph with
-exactly this net's pins attached, the net itself, the resolved tree
-algorithm, and the router configuration.  The worker mirrors the serial
-router's per-net protocol (`FPGARouter._route_one`) minus the commit:
+*without touching shared state*: a frozen CSR snapshot of the pinless
+routing graph plus the connection-block taps of this net's pins, the
+net itself, the resolved tree algorithm, and the router configuration.
+The worker mirrors the serial router's per-net protocol
+(`FPGARouter._route_one`) minus the commit:
 feasibility pre-checks, congested shortest paths for the Table-5
 optimal-pathlength metric, then tree construction through the shared
 :func:`repro.router.router.route_net_tree` dispatch.
@@ -49,17 +50,14 @@ class NetTask:
     net: Net
     algo: str
     config: RouterConfig
-    #: routing-graph snapshot with this net's pins already attached —
-    #: dict-backend shipping; None when the task ships flat arrays
-    graph: Optional[Graph] = None
-    #: frozen CSR snapshot of the *pinless* base graph — flat-backend
-    #: shipping.  One FlatGraph is shared (and pickled once per worker
-    #: batch) by every task of a batch; the worker thaws it and replays
-    #: this net's pin attachment locally from ``pin_taps``
-    flat: Optional[FlatGraph] = None
+    #: frozen CSR snapshot of the *pinless* base graph.  One FlatGraph
+    #: is shared (and pickled once per worker batch) by every task of a
+    #: batch; the worker thaws it and replays this net's pin attachment
+    #: locally from ``pin_taps``
+    flat: FlatGraph
     #: pin -> [(junction, weight)] connection-block taps for this net's
     #: terminals (see RoutingResourceGraph.pin_taps)
-    pin_taps: Optional[Dict[Tuple, List[Tuple[Tuple, float]]]] = None
+    pin_taps: Dict[Tuple, List[Tuple[Tuple, float]]]
     #: True when the worker runs out-of-process and must ship its own
     #: Dijkstra counters back with the result
     collect_counters: bool = False
@@ -97,24 +95,16 @@ def make_budget(config: RouterConfig) -> Optional[DijkstraBudget]:
 def materialize_graph(task: NetTask) -> Graph:
     """The routing-graph snapshot this task routes on.
 
-    Dict shipping returns the pre-attached snapshot unchanged.  Flat
-    shipping thaws the shared base CSR — which reconstructs the exact
-    adjacency ordering of the live graph it was frozen from — and
-    replays the pin attachment for this net's terminals with the same
-    add order and the same survival checks as
-    :meth:`RoutingResourceGraph.attach_pins`, so the materialized graph
-    is identical to the dict snapshot the session would have shipped.
+    Thaws the shared base CSR — which reconstructs the exact adjacency
+    ordering of the live graph it was frozen from — and replays the pin
+    attachment for this net's terminals with the same add order and the
+    same survival checks as :meth:`RoutingResourceGraph.attach_pins`, so
+    the materialized graph is identical to a copy of the live graph
+    with this net's pins attached.
     """
-    if task.graph is not None:
-        return task.graph
-    if task.flat is None or task.pin_taps is None:
-        raise GraphError(
-            f"task {task.name!r} carries neither a graph snapshot "
-            f"nor flat arrays"
-        )
     if task.faults is not None:
-        # flat-shipping fault point: die while the task's graph exists
-        # only as shipped CSR arrays, before any thaw-side state
+        # shipping fault point: die while the task's graph exists only
+        # as shipped CSR arrays, before any thaw-side state
         task.faults.inject_materialize(task.index)
     g = task.flat.thaw()
     taps = task.pin_taps
@@ -136,7 +126,7 @@ class NegotiationTask:
     reroutes concurrently against the same point-in-time snapshot of
     the present × history factor table (``factors``), so the outcome of
     the chunk is independent of worker scheduling.  Graph shipping
-    (``graph``/``flat``/``pin_taps``) and fault/counter plumbing follow
+    (``flat``/``pin_taps``) and fault/counter plumbing follow
     :class:`NetTask` exactly — :func:`materialize_graph` works on both.
     """
 
@@ -148,9 +138,8 @@ class NegotiationTask:
     #: sink → slack ratio for this net's connections (timing mode);
     #: empty means wirelength-only
     criticalities: Dict[Tuple, float]
-    graph: Optional[Graph] = None
-    flat: Optional[FlatGraph] = None
-    pin_taps: Optional[Dict[Tuple, List[Tuple[Tuple, float]]]] = None
+    flat: FlatGraph
+    pin_taps: Dict[Tuple, List[Tuple[Tuple, float]]]
     collect_counters: bool = False
     index: int = 0
     faults: Optional[FaultPlan] = None
@@ -187,9 +176,7 @@ def run_negotiation_task(task: NegotiationTask) -> Dict[str, object]:
             return payload
 
         policy = SearchPolicy(
-            task.config.search,
-            heuristic_scale=task.heuristic_scale,
-            graph_backend=task.config.graph_backend,
+            task.config.search, heuristic_scale=task.heuristic_scale
         )
         provider = FrozenFactorProvider(task.factors)
         slack = (
@@ -266,9 +253,7 @@ def _run(
         if not graph.has_node(pin) or graph.degree(pin) == 0:
             return done({"name": task.name, "status": INFEASIBLE})
     policy = SearchPolicy(
-        task.config.search,
-        heuristic_scale=task.heuristic_scale,
-        graph_backend=task.config.graph_backend,
+        task.config.search, heuristic_scale=task.heuristic_scale
     )
     cache = ShortestPathCache(graph, search=policy)
     # mirrors FPGARouter._route_one: goal-directed backends settle just

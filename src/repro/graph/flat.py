@@ -8,46 +8,43 @@ for *search*: every Dijkstra relaxation pays several tuple hashes
 like ``("J", x, y, side, track)``).  Production FPGA routers run on
 flat integer-indexed routing-resource graphs for exactly this reason.
 
-This module provides that representation:
+This flat form is the library's only search substrate: every plain,
+goal-directed and negotiated search runs on it.  The module provides:
 
 * :class:`FlatGraph` — an immutable CSR (compressed-sparse-row)
   snapshot: ``indptr``/``indices``/``weights`` numpy arrays plus a node
   table mapping int ids back to the original node objects.  Node
   enumeration order and per-row neighbor order mirror the source
   graph's dict insertion order **exactly** — that is what lets the flat
-  kernels reproduce the dict kernels' tie-breaking bit for bit.
+  kernels reproduce dict-adjacency tie-breaking bit for bit.
 * :class:`GraphView` — a :class:`FlatGraph` stamped with the
   :attr:`Graph.version` it was frozen at.  ``Graph.freeze()`` memoizes
   one view per version, so any mutation transparently invalidates it.
-* :func:`flat_dijkstra` / :func:`flat_astar` /
-  :func:`flat_bidirectional` — search kernels over int ids whose
-  returned ``(dist, pred)`` maps are **bit-identical** to
-  :func:`~repro.graph.shortest_paths.dijkstra`,
-  :func:`~repro.graph.search.astar` and
-  :func:`~repro.graph.search.bidirectional_dijkstra`: same float
-  values, same settled sets, same tie-breaking, and the same dict
-  *iteration order* (several consumers — PFA's ``pred.items()`` walk,
-  the dominance oracle's ``d0.items()`` scans — are order-sensitive).
+* :func:`flat_dijkstra`, :func:`flat_astar`, :func:`flat_bidirectional`
+  and :func:`flat_negotiated_search` — search kernels over int ids.
 
-Bit-identity contract
----------------------
-Each flat kernel replays the exact event sequence of its dict
-counterpart: one shared push counter, heap entries ``(key, counter,
-id)``, stale pops counted, the budget checked on every pop, the same
+Contract
+--------
+:func:`flat_dijkstra` is **bit-identical** to
+:func:`~repro.graph.shortest_paths.dijkstra` on the graph the snapshot
+was frozen from: same float values, same settled sets, same
+tie-breaking, and the same dict *iteration order* (several consumers —
+PFA's ``pred.items()`` walk, the dominance oracle's ``d0.items()``
+scans — are order-sensitive).  It replays the dict kernel's exact event
+sequence: one shared push counter, heap entries ``(key, counter, id)``,
+stale pops counted, the budget checked on every pop, the same
 early-exit and cutoff tests in the same order.  Distances are the same
 IEEE doubles because the arithmetic (``d + w`` per relaxation) happens
 in the same order on the same values; the result dicts are rebuilt in
-settlement order (``dist``) and first-relaxation order (``pred``) so
-order-sensitive consumers see no difference.  The differential harness
-and golden files in ``tests/differential/`` gate this contract.
+settlement order (``dist``) and first-relaxation order (``pred``).
 
-Backend selection
------------------
-:data:`GRAPH_BACKENDS` is the ``RouterConfig.graph_backend`` /
-``--graph-backend`` vocabulary.  ``"auto"`` (the default) uses the flat
-core once a graph reaches :data:`FLAT_AUTO_THRESHOLD` nodes — below
-that the freeze cost outweighs the per-relaxation savings — and keeps
-the dict kernels for small graphs.
+:func:`flat_astar` (under an admissible, consistent heuristic) and
+:func:`flat_bidirectional` return **exact** distances: ``dist[target]``
+and the bidirectional distance equal the plain Dijkstra distance.  They
+do not reproduce plain Dijkstra's equal-cost tie-breaking, which is why
+canonical paths always come from :func:`flat_dijkstra` runs (see
+:mod:`repro.graph.search`).  The differential harness and golden files
+in ``tests/differential/`` gate both contracts.
 """
 
 from __future__ import annotations
@@ -73,14 +70,6 @@ from .shortest_paths import get_dijkstra_budget, get_dijkstra_counters
 
 Node = Hashable
 INF = float("inf")
-
-#: the RouterConfig.graph_backend vocabulary
-GRAPH_BACKENDS = ("dict", "flat", "auto")
-
-#: "auto" switches to the flat core at this node count: below it the
-#: O(V+E) freeze outweighs the per-relaxation hashing it saves
-FLAT_AUTO_THRESHOLD = 256
-
 
 def _extend_coords(
     coords: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -109,24 +98,6 @@ def _extend_coords(
     return (xs, ys, valid)
 
 
-def resolve_graph_backend(choice: str, graph) -> str:
-    """Resolve a :data:`GRAPH_BACKENDS` choice to ``"dict"``/``"flat"``.
-
-    ``graph`` only needs a ``num_nodes`` attribute; it is consulted for
-    the ``"auto"`` size heuristic.
-    """
-    if choice == "dict":
-        return "dict"
-    if choice == "flat":
-        return "flat"
-    if choice != "auto":
-        raise GraphError(
-            f"unknown graph backend {choice!r}; "
-            f"expected one of {GRAPH_BACKENDS}"
-        )
-    return "flat" if graph.num_nodes >= FLAT_AUTO_THRESHOLD else "dict"
-
-
 class FlatGraph:
     """An immutable int-indexed snapshot of an undirected weighted graph.
 
@@ -146,9 +117,9 @@ class FlatGraph:
     form break ties exactly like searches over the dict adjacency.
 
     Instances are cheap to pickle (three numpy arrays plus the node
-    table) — the engine ships them to worker processes instead of full
-    dict graphs — and :meth:`thaw` reconstructs an equivalent mutable
-    :class:`Graph` with identical adjacency ordering on the other side.
+    table) — the engine ships them to worker processes — and
+    :meth:`thaw` reconstructs an equivalent mutable :class:`Graph`
+    with identical adjacency ordering on the other side.
 
     Weights are stored as float64; integer edge weights round-trip to
     the equal float value (``2 -> 2.0``).
@@ -562,8 +533,8 @@ class GraphView:
     ``Graph.freeze()`` returns one of these and memoizes it until the
     next mutation; consumers holding a view can cheaply check whether
     it still describes a graph via :meth:`fresh`.  The search methods
-    delegate to the flat kernels, which are bit-identical to the dict
-    kernels (see the module docstring).
+    delegate to the flat kernels (see the module docstring for their
+    contract).
     """
 
     __slots__ = ("flat", "version", "_source")
@@ -754,14 +725,21 @@ def flat_astar(
     heuristic: Callable[[Node], float],
     cutoff: Optional[float] = None,
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Goal-directed A* over the CSR arrays.
+    """Goal-directed A* from ``source`` toward ``target``.
 
-    Bit-identical to :func:`~repro.graph.search.astar` under the same
-    heuristic.  Manhattan heuristics (``heuristic.key[0] ==
-    "manhattan"``) are evaluated through a vectorized per-id table —
-    elementwise the identical IEEE arithmetic as the scalar closure —
-    while arbitrary heuristics are called on node objects at exactly
-    the program points the dict kernel calls them.
+    ``heuristic`` must be an admissible, consistent lower bound on the
+    distance to ``target``; under that contract every settled node
+    carries its exact distance, and the search stops as soon as
+    ``target`` settles.  A node whose heuristic is infinite is provably
+    unable to reach the target and is pruned outright.  Returns
+    ``(dist, pred)`` over the settled prefix; the settled *set* and the
+    ``pred`` tie-breaking differ from plain Dijkstra's, so callers use
+    only the target distance.
+
+    Manhattan heuristics (``heuristic.key[0] == "manhattan"``) are
+    evaluated through a vectorized per-id table — elementwise the
+    identical IEEE arithmetic as the scalar closure — while arbitrary
+    heuristics are called on node objects.
     """
     index = flat.index
     src = index.get(source)
@@ -781,10 +759,10 @@ def flat_astar(
     fn = heuristic
 
     inf = INF
-    # `best[v]` = cheapest pushed g-label (the dict kernel's `seen`);
-    # the explicit settled flags stay because A* under a non-consistent
-    # heuristic may find a cheaper g for an already-settled node, and
-    # the dict kernel skips that relaxation rather than re-pushing
+    # `best[v]` = cheapest pushed g-label; the explicit settled flags
+    # stay because A* under a non-consistent heuristic may find a
+    # cheaper g for an already-settled node, and that relaxation is
+    # skipped rather than re-pushed
     settled = bytearray(n)
     best = [inf] * n
     pred_arr = [0] * n
@@ -795,7 +773,8 @@ def flat_astar(
     pops = 0
     budget = get_dijkstra_budget()
     h_src = table[src] if table is not None else fn(nodes[src])
-    # (f = g + h, tie counter, g, id), exactly as the dict kernel
+    # (f = g + h, tie counter, g, id): the explicit g avoids deriving
+    # it from f by float subtraction
     heap: List[Tuple[float, int, float, int]] = [(h_src, 0, 0.0, src)]
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -838,14 +817,14 @@ def flat_astar(
 def flat_bidirectional(
     flat: FlatGraph, source: Node, target: Node
 ) -> Tuple[float, Optional[List[Node]]]:
-    """Two-frontier Dijkstra over the CSR arrays.
+    """Two-frontier Dijkstra for a single ``source → target`` query.
 
-    Bit-identical to
-    :func:`~repro.graph.search.bidirectional_dijkstra`: the shared push
-    counter, the forward-on-ties frontier selection and the meeting
-    rule replay the dict kernel's event sequence exactly, so the same
-    meeting node is found and the re-accumulated forward-order distance
-    is the same IEEE double.
+    Expands the frontier with the smaller tentative key (forward on
+    ties) and stops once the frontier keys sum past the best meeting
+    cost — the standard exact stopping rule.  Returns ``(distance,
+    path)``; ``(inf, None)`` when the endpoints are disconnected.  The
+    path is *a* shortest path whose tie-breaking differs from plain
+    Dijkstra's, so it is never used where canonical paths are required.
     """
     index = flat.index
     src = index.get(source)
@@ -936,7 +915,9 @@ def flat_bidirectional(
         node = pred_arr[1][node]
         chain.append(node)
     # re-accumulate the distance in forward edge order along the found
-    # path, exactly like the dict kernel (float addition order matters)
+    # path: the meeting-rule sum adds the backward half in reverse edge
+    # order, and float addition is not associative, so it can sit one
+    # ulp away from the forward-order sum every other kernel produces
     d = 0.0
     for a, b in zip(chain, chain[1:]):
         for j, w in rows[a]:
@@ -955,16 +936,19 @@ def flat_negotiated_search(
     heuristic=None,
     offsets=None,
 ) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
-    """Multi-source negotiated-cost search over the CSR arrays.
+    """Multi-source shortest path under negotiated node costs.
 
-    The flat counterpart of
-    :func:`repro.graph.search.negotiated_search`: edge ``(u, v)`` with
-    base weight ``w`` costs ``w * (crit + (1 - crit) * (factors[u] +
-    factors[v]) / 2)``, where ``factors`` is the cost provider's dense
-    per-id multiplier table (every entry ``>= 1``, see
-    ``SearchPolicy.negotiated_search``).  The CSR arrays themselves are
-    never touched — congestion lives entirely in ``factors``, so one
-    frozen snapshot serves every net of an iteration.
+    The PathFinder connection kernel: every node of the current routing
+    tree is a source, and edge ``(u, v)`` with base weight ``w`` costs
+    ``w * (crit + (1 - crit) * (factors[u] + factors[v]) / 2)`` — the
+    timing blend of the base metric against the negotiated congestion
+    metric.  ``factors`` is the cost provider's dense per-id multiplier
+    table (every entry ``>= 1``, see ``SearchPolicy.negotiated_search``),
+    so with ``heuristic`` an admissible lower bound on *base* distance
+    to ``target`` the search is exact goal-directed A*; without one it
+    is plain multi-source Dijkstra.  The CSR arrays themselves are never
+    touched — congestion lives entirely in ``factors``, so one frozen
+    snapshot serves every net of an iteration.
 
     Seeds settle at ``g = offsets[node]`` (default 0) in the order
     given (the deterministic tie-break the negotiation loop relies on);

@@ -32,7 +32,7 @@ An edge's negotiated weight is ``base(u, v) · (factor(u) + factor(v))
 never below it (factors are ≥ 1), which keeps the architecture's
 Manhattan lower bound admissible for the goal-directed kernels.  The
 timing blend against per-connection slack ratios happens inside the
-kernels (see :func:`repro.graph.search.negotiated_search` and
+kernels (see :func:`repro.graph.flat.flat_negotiated_search` and
 :mod:`repro.router.timing`).
 
 Determinism

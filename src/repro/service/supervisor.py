@@ -50,6 +50,7 @@ import json
 import os
 import threading
 import time
+import typing
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, Optional
@@ -60,6 +61,7 @@ from ..engine.retry import RetryPolicy
 from ..errors import (
     CheckpointError,
     EngineTimeoutError,
+    FormatError,
     JournalError,
     ReproError,
     RoutingError,
@@ -78,13 +80,60 @@ DEFAULT_STALE_AFTER_S = 30.0
 _FAMILIES = {"xc3000": xc3000, "xc4000": xc4000}
 
 
+#: values of the retired ``graph_backend`` field, which stores written
+#: by earlier releases journaled with every job; dropped on load
+_LEGACY_GRAPH_BACKENDS = ("dict", "flat", "auto")
+
+#: RouterConfig field name -> resolved type hint
+_CONFIG_HINTS = typing.get_type_hints(RouterConfig)
+
+
+def _accepts(hint, value) -> bool:
+    """Whether JSON ``value`` fits the RouterConfig field type ``hint``."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_accepts(h, value) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is frozenset:
+        return isinstance(value, list) and all(
+            isinstance(n, str) for n in value
+        )
+    return isinstance(value, hint)
+
+
 def config_from_dict(doc: Dict[str, Any]) -> RouterConfig:
-    """Rebuild a :class:`RouterConfig` from its request serialization."""
+    """Rebuild a :class:`RouterConfig` from its request serialization.
+
+    Raises :class:`~repro.errors.FormatError` for anything that is not
+    a valid config: a non-object document, unknown keys, ill-typed
+    values, and values :class:`RouterConfig` rejects.  A legacy
+    ``graph_backend`` entry is dropped, so stores journaled before that
+    field was retired still recover.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError("config must be a JSON object", key="config")
     kwargs = dict(doc)
+    if kwargs.get("graph_backend") in _LEGACY_GRAPH_BACKENDS:
+        del kwargs["graph_backend"]
+    for key, value in kwargs.items():
+        if key not in _CONFIG_HINTS:
+            raise FormatError(f"unknown config key {key!r}", key=key)
+        if not _accepts(_CONFIG_HINTS[key], value):
+            raise FormatError(
+                f"config key {key!r} has the wrong type: {value!r}",
+                key=key,
+            )
     nets = kwargs.get("critical_nets")
     if nets is not None:
         kwargs["critical_nets"] = frozenset(nets)
-    return RouterConfig(**kwargs)
+    try:
+        return RouterConfig(**kwargs)
+    except RoutingError as exc:
+        raise FormatError(f"invalid config: {exc}") from exc
 
 
 class JobSupervisor:

@@ -1,12 +1,13 @@
-"""The flat CSR graph core must be indistinguishable from dict search.
+"""The flat CSR search substrate must be indistinguishable from dict search.
 
-``RouterConfig.graph_backend`` promises that ``"flat"`` (and ``"auto"``
-when it resolves to flat) changes *how fast* searches run, never *what*
-gets routed.  This module replays the same workloads — the acceptance
+Every library search runs on the frozen CSR view (``Graph.freeze()``),
+whose kernels promise to reproduce the dict-adjacency kernels bit for
+bit.  This module replays the same workloads — the acceptance
 algorithms (PFA / IDOM / DJKA / DOM), each execution engine, the
-search-backend matrix, and the full channel-width negotiation — under
-the flat backend and asserts bit-identical results against the
-``"dict"`` reference: identical trees edge-for-edge, identical
+search-backend matrix, and the full channel-width negotiation — once
+on the library's flat kernels and once with the dict reference kernels
+of ``tests/dict_kernels.py`` swapped in underneath, and asserts
+bit-identical results: identical trees edge-for-edge, identical
 wirelengths, identical pass counts and channel widths.
 """
 
@@ -18,115 +19,106 @@ from repro.fpga import xc3000
 from repro.graph import SEARCH_BACKENDS
 from repro.router import RouterConfig, minimum_channel_width
 
+from ..dict_kernels import route_with_dict_kernels
 from .conftest import route_once, result_signature
 
-#: backends that must match "dict" exactly (auto must match whichever
-#: way its size heuristic resolves)
-FLAT_BACKENDS = ["flat", "auto"]
+
+def on_dict_kernels(monkeypatch, route, *args, **kwargs):
+    """``route(*args, **kwargs)`` with the dict reference kernels."""
+    with monkeypatch.context() as patch:
+        route_with_dict_kernels(patch)
+        return route(*args, **kwargs)
+
+
+def dict_reference(monkeypatch, arch, circuit, **kwargs):
+    """Signature of one serial routing session on the dict kernels."""
+    return result_signature(
+        on_dict_kernels(monkeypatch, route_once, arch, circuit, **kwargs)
+    )
 
 
 class TestAlgorithmEquivalence:
-    @pytest.mark.parametrize("graph_backend", FLAT_BACKENDS)
     @pytest.mark.parametrize("algorithm", ["pfa", "idom", "djka", "dom"])
     def test_backend_matches_reference(
-        self, tiny_xc3000, algorithm, graph_backend
+        self, tiny_xc3000, monkeypatch, algorithm
     ):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm=algorithm, graph_backend="dict")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit,
+                             backend="dijkstra", algorithm=algorithm)
         got = result_signature(
             route_once(arch, circuit, backend="dijkstra",
-                       algorithm=algorithm, graph_backend=graph_backend)
+                       algorithm=algorithm)
         )
         assert got == ref
 
-    def test_steiner_matches(self, tiny_xc3000):
+    def test_steiner_matches(self, tiny_xc3000, monkeypatch):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="ikmb", graph_backend="dict")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit,
+                             backend="dijkstra", algorithm="ikmb")
         got = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="ikmb", graph_backend="flat")
+            route_once(arch, circuit, backend="dijkstra", algorithm="ikmb")
         )
         assert got == ref
 
-    def test_xc4000_family_matches_reference(self, tiny_xc4000):
+    def test_xc4000_family_matches_reference(self, tiny_xc4000, monkeypatch):
         arch, circuit = tiny_xc4000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       graph_backend="dict")
-        )
-        got = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       graph_backend="flat")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit, backend="dijkstra")
+        got = result_signature(route_once(arch, circuit, backend="dijkstra"))
         assert got == ref
 
 
 class TestSearchBackendMatrix:
     """The flat kernels sit underneath every SearchPolicy backend —
     goal-directed dispatch (A*, bidirectional) must stay bit-identical
-    when the policy routes it to the CSR kernels."""
+    to the plain-Dijkstra dict reference."""
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    def test_search_times_graph_backend(self, tiny_xc3000, search):
+    def test_search_backend_matches_dict_reference(
+        self, tiny_xc3000, monkeypatch, search
+    ):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra",
-                       algorithm="pfa", graph_backend="dict")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit,
+                             backend="dijkstra", algorithm="pfa")
         got = result_signature(
-            route_once(arch, circuit, backend=search,
-                       algorithm="pfa", graph_backend="flat")
+            route_once(arch, circuit, backend=search, algorithm="pfa")
         )
         assert got == ref
 
 
 class TestEngineEquivalence:
-    """Flat shipping (shared CSR + per-net pin taps) must commit the
-    exact trees the per-net dict snapshots produce."""
+    """Shipping (shared CSR + per-net pin taps) must commit the exact
+    trees the serial dict reference produces."""
 
-    @pytest.mark.parametrize("graph_backend", FLAT_BACKENDS)
     @pytest.mark.parametrize("engine", ["serial", "thread"])
-    def test_engine_backend_matrix(self, tiny_xc3000, engine, graph_backend):
+    def test_engine_backend_matrix(self, tiny_xc3000, monkeypatch, engine):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine="serial",
-                       graph_backend="dict")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit, backend="dijkstra")
         got = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine=engine,
-                       graph_backend=graph_backend)
+            route_once(arch, circuit, backend="dijkstra", engine=engine)
         )
         assert got == ref
 
-    def test_process_engine_matches(self, tiny_xc3000):
+    def test_process_engine_matches(self, tiny_xc3000, monkeypatch):
         arch, circuit = tiny_xc3000
-        ref = result_signature(
-            route_once(arch, circuit, backend="dijkstra", engine="serial",
-                       graph_backend="dict")
-        )
+        ref = dict_reference(monkeypatch, arch, circuit, backend="dijkstra")
         got = result_signature(
             route_once(arch, circuit, backend="dijkstra", engine="process",
-                       graph_backend="flat", max_workers=2)
+                       max_workers=2)
         )
         assert got == ref
 
 
 class TestChannelWidthEquivalence:
     @pytest.mark.parametrize("algorithm", ["pfa", "djka"])
-    def test_negotiated_width_identical(self, tiny_xc3000, algorithm):
+    def test_negotiated_width_identical(
+        self, tiny_xc3000, monkeypatch, algorithm
+    ):
         _, circuit = tiny_xc3000
-        ref_cfg = RouterConfig(algorithm=algorithm, search="dijkstra",
-                               graph_backend="dict", max_passes=4)
         cfg = RouterConfig(algorithm=algorithm, search="dijkstra",
-                           graph_backend="flat", max_passes=4)
-        w_ref, res_ref = minimum_channel_width(
-            circuit, xc3000, ref_cfg, w_start=3, w_max=10
+                           max_passes=4)
+        w_ref, res_ref = on_dict_kernels(
+            monkeypatch, minimum_channel_width,
+            circuit, xc3000, cfg, w_start=3, w_max=10,
         )
         w_got, res_got = minimum_channel_width(
             circuit, xc3000, cfg, w_start=3, w_max=10

@@ -30,6 +30,7 @@ from repro.fpga import xc3000, xc4000
 from repro.router import RouterConfig, minimum_channel_width
 from repro.validate import verify_result
 
+from ..dict_kernels import route_with_dict_kernels
 from .conftest import result_signature
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -42,8 +43,19 @@ NEGO_XC3000_WIDTH = 3
 NEGO_XC4000_WIDTH = 4
 
 ENGINES = ("serial", "thread", "process")
-GRAPH_BACKENDS = ("dict", "flat")
+#: "flat" = the library's CSR kernels; "dict" = the dict-adjacency
+#: reference kernels of tests/dict_kernels.py swapped in underneath
+KERNELS = ("dict", "flat")
 SEARCH_BACKENDS = ("dijkstra", "astar", "bidir")
+
+
+@pytest.fixture
+def kernels(request, monkeypatch):
+    """Parametrized search kernels: patch in the dict reference when
+    the test runs under ``"dict"``."""
+    if request.param == "dict":
+        route_with_dict_kernels(monkeypatch)
+    return request.param
 
 
 def nego_config(**kwargs):
@@ -90,34 +102,29 @@ def assert_certified(result, circuit, arch, cfg):
 
 
 # ----------------------------------------------------------------------
-# the execution matrix: every engine x graph backend x search backend
+# the execution matrix: every engine x kernel x search backend
 # ----------------------------------------------------------------------
 class TestNegotiationMatrix:
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
-    def test_serial_xc3000(self, tiny_xc3000, graph_backend, search):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_serial_xc3000(self, tiny_xc3000, kernels, search):
         _, circuit = tiny_xc3000
         arch = xc3000(circuit.rows, circuit.cols, NEGO_XC3000_WIDTH)
-        result, cfg = route_negotiated(
-            arch, circuit, graph_backend=graph_backend, search=search
-        )
+        result, cfg = route_negotiated(arch, circuit, search=search)
         assert_certified(result, circuit, arch, cfg)
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
-    def test_serial_xc4000(self, tiny_xc4000, graph_backend, search):
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
+    def test_serial_xc4000(self, tiny_xc4000, kernels, search):
         _, circuit = tiny_xc4000
         arch = xc4000(circuit.rows, circuit.cols, NEGO_XC4000_WIDTH)
-        result, cfg = route_negotiated(
-            arch, circuit, graph_backend=graph_backend, search=search
-        )
+        result, cfg = route_negotiated(arch, circuit, search=search)
         assert_certified(result, circuit, arch, cfg)
 
     @pytest.mark.parametrize("search", SEARCH_BACKENDS)
-    @pytest.mark.parametrize("graph_backend", GRAPH_BACKENDS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     @pytest.mark.parametrize("engine", ("thread", "process"))
-    def test_parallel_engines(self, mini_xc3000, engine, graph_backend,
-                              search):
+    def test_parallel_engines(self, mini_xc3000, engine, kernels, search):
         """Chunked parallel negotiation converges to certified routings.
 
         Parallel chunks reroute against frozen cost snapshots, so the
@@ -128,8 +135,7 @@ class TestNegotiationMatrix:
         _, circuit = mini_xc3000
         arch = xc3000(circuit.rows, circuit.cols, NEGO_XC3000_WIDTH)
         result, cfg = route_negotiated(
-            arch, circuit, engine=engine, max_workers=2,
-            graph_backend=graph_backend, search=search,
+            arch, circuit, engine=engine, max_workers=2, search=search
         )
         assert_certified(result, circuit, arch, cfg)
 
@@ -139,13 +145,16 @@ class TestNegotiationMatrix:
         result, cfg = route_negotiated(arch, circuit, timing=True)
         assert_certified(result, circuit, arch, cfg)
 
-    def test_dict_and_flat_kernels_bit_identical(self, tiny_xc3000):
-        """The CSR seam changes throughput, never results."""
+    def test_dict_and_flat_kernels_bit_identical(
+        self, tiny_xc3000, monkeypatch
+    ):
+        """The CSR kernels reproduce the dict reference exactly."""
         _, circuit = tiny_xc3000
         arch = xc3000(circuit.rows, circuit.cols, NEGO_XC3000_WIDTH)
-        a, _ = route_negotiated(arch, circuit, graph_backend="dict")
-        b, _ = route_negotiated(arch, circuit, graph_backend="flat")
-        assert result_signature(a) == result_signature(b)
+        flat, _ = route_negotiated(arch, circuit)
+        route_with_dict_kernels(monkeypatch)
+        ref, _ = route_negotiated(arch, circuit)
+        assert result_signature(flat) == result_signature(ref)
 
 
 # ----------------------------------------------------------------------

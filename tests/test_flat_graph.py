@@ -1,9 +1,9 @@
 """Unit tests for the flat CSR graph core and its integration seams.
 
 Covers what the property suite (test_flat_properties.py) does not:
-the backend resolver, the deprecated ``Graph._adj`` escape hatch,
-pickling, the cache's kernel tags, the worker's flat materialization,
-the config/CLI surface, and the package exports.
+the deprecated ``Graph._adj`` escape hatch, pickling, the cache's use
+of the frozen view, the worker's flat materialization, the CLI
+surface, and the package exports.
 """
 
 from __future__ import annotations
@@ -14,18 +14,17 @@ import warnings
 import pytest
 
 import repro
-from repro.errors import GraphError, RoutingError
+from repro.errors import GraphError
 from repro.fpga import xc4000
 from repro.fpga.routing_graph import RoutingResourceGraph
 from repro.graph import (
-    FLAT_AUTO_THRESHOLD,
     FlatGraph,
     Graph,
     GraphView,
     SearchPolicy,
     ShortestPathCache,
+    dijkstra,
     grid_graph,
-    resolve_graph_backend,
 )
 from repro.net import Net
 from repro.router import RouterConfig
@@ -45,37 +44,6 @@ def assert_same_adjacency(g, h):
     assert g.num_edges == h.num_edges
     for node in g.nodes:
         assert list(g.neighbor_items(node)) == list(h.neighbor_items(node))
-
-
-# ----------------------------------------------------------------------
-# backend resolution
-# ----------------------------------------------------------------------
-class TestResolveBackend:
-    def test_explicit_choices_pass_through(self):
-        g = small_graph()
-        assert resolve_graph_backend("dict", g) == "dict"
-        assert resolve_graph_backend("flat", g) == "flat"
-
-    def test_auto_picks_dict_below_threshold(self):
-        assert resolve_graph_backend("auto", small_graph()) == "dict"
-
-    def test_auto_picks_flat_at_threshold(self):
-        side = 1
-        while side * side < FLAT_AUTO_THRESHOLD:
-            side += 1
-        g = grid_graph(side, side)
-        assert g.num_nodes >= FLAT_AUTO_THRESHOLD
-        assert resolve_graph_backend("auto", g) == "flat"
-
-    def test_unknown_choice_rejected(self):
-        with pytest.raises(GraphError):
-            resolve_graph_backend("csr", small_graph())
-
-    def test_config_validates_backend(self):
-        with pytest.raises(RoutingError):
-            RouterConfig(graph_backend="csr")
-        for choice in ("dict", "flat", "auto"):
-            assert RouterConfig(graph_backend=choice).graph_backend == choice
 
 
 # ----------------------------------------------------------------------
@@ -148,41 +116,32 @@ def test_view_fresh_tracks_other_graphs():
 
 
 # ----------------------------------------------------------------------
-# cache kernel tags (full + partial entries)
+# the cache searches the frozen view, with or without a policy
 # ----------------------------------------------------------------------
-def _flip_backend(cache, backend):
-    cache._search = SearchPolicy("dijkstra", graph_backend=backend)
-
-
-def test_full_sssp_not_served_across_backend_flip():
+@pytest.mark.parametrize(
+    "search", [None, SearchPolicy("dijkstra"), SearchPolicy("astar")]
+)
+def test_cache_runs_on_frozen_view(search):
     g = small_graph()
-    cache = ShortestPathCache(
-        g, search=SearchPolicy("dijkstra", graph_backend="dict")
-    )
-    cache.sssp("a")
-    assert cache.stats()["misses"] == 1
-    assert cache._store_kernel["a"] == "dijkstra"
-    cache.sssp("a")
-    assert cache.stats()["hits"] == 1  # same kernel: served
-    _flip_backend(cache, "flat")
-    dist, _ = cache.sssp("a")
-    # mismatched tag: entry dropped and recomputed by the flat kernel
-    assert cache.stats()["misses"] == 2
-    assert cache._store_kernel["a"] == "flat"
-    assert dist["c"] == 3.0
+    cache = ShortestPathCache(g, search=search)
+    dist, pred = cache.sssp("a")
+    # the full run froze the graph, and equals the dict reference
+    # down to iteration order
+    assert g._frozen is not None and g._frozen.fresh(g)
+    ref_dist, ref_pred = dijkstra(g, "a")
+    assert list(dist.items()) == list(ref_dist.items())
+    assert list(pred.items()) == list(ref_pred.items())
 
 
-def test_partial_entries_keyed_by_kernel():
+def test_full_entry_served_across_policy_swap():
+    """One substrate: a stored full run stays valid whichever search
+    policy is attached afterwards."""
     g = small_graph()
-    cache = ShortestPathCache(
-        g, search=SearchPolicy("dijkstra", graph_backend="dict")
-    )
-    cache.path("a", "c")
-    misses = cache.stats()["misses"]
-    _flip_backend(cache, "flat")
-    path = cache.path("a", "c")
-    assert cache.stats()["misses"] == misses + 1  # not served across flip
-    assert path == ["a", "b", "c"]
+    cache = ShortestPathCache(g, search=SearchPolicy("dijkstra"))
+    first = cache.sssp("a")
+    cache._search = SearchPolicy("bidir")
+    assert cache.sssp("a") is first
+    assert cache.stats()["hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +172,18 @@ def test_materialize_flat_matches_dict_snapshot():
 
 
 def test_materialize_requires_some_shipping():
+    """Every terminal's connection-block taps must ship with the task."""
     from repro.engine.worker import NetTask, materialize_graph
 
-    _, net = _rrg_and_net()
-    task = NetTask(name="n0", net=net, algo="djka", config=RouterConfig())
+    rrg, net = _rrg_and_net()
+    task = NetTask(
+        name="n0",
+        net=net,
+        algo="djka",
+        config=RouterConfig(),
+        flat=rrg.graph.freeze().flat,
+        pin_taps={net.source: rrg.pin_taps(net.source)},
+    )
     with pytest.raises(GraphError):
         materialize_graph(task)
 
@@ -237,16 +204,6 @@ def test_public_exports():
         assert getattr(repro, name) is not None
     assert repro.GraphView is GraphView
     assert repro.FlatGraph is FlatGraph
-
-
-def test_cli_graph_backend_flag():
-    from repro.cli import _build_parser, _config
-
-    parser = _build_parser()
-    args = parser.parse_args(["route", "busc", "--graph-backend", "flat"])
-    assert _config(args, "ikmb").graph_backend == "flat"
-    args = parser.parse_args(["route", "busc"])
-    assert _config(args, "ikmb").graph_backend == "auto"
 
 
 def test_cli_legacy_aliases_warn():

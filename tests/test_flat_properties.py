@@ -4,10 +4,12 @@ Three families of properties:
 
 * **Round-trip fidelity** — ``Graph.freeze()`` / ``FlatGraph.thaw()``
   preserve every node, every edge, every weight, *and* the adjacency
-  iteration order the dict kernels depend on.
+  iteration order tie-breaking depends on.
 * **Kernel bit-identity** — the flat Dijkstra / A* / bidirectional
-  kernels reproduce the dict kernels' results exactly: same distances,
-  same predecessors, same dict iteration order, for arbitrary random
+  kernels reproduce the dict-adjacency reference kernels
+  (:func:`repro.graph.dijkstra` and the oracles in
+  ``tests/dict_kernels.py``) exactly: same distances, same
+  predecessors, same dict iteration order, for arbitrary random
   graphs, endpoints, cutoffs and target sets.
 * **Invalidation** — mutating a graph (including the router's
   uncommit path) invalidates its memoized view, and the re-frozen view
@@ -30,10 +32,9 @@ from repro.graph import (
     dijkstra,
     grid_graph,
     manhattan_heuristic,
-    multi_target_dijkstra,
     random_connected_graph,
 )
-from repro.graph.search import bidirectional_dijkstra
+from tests.dict_kernels import astar, bidirectional_dijkstra
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -136,7 +137,7 @@ def test_flat_dijkstra_bit_identical(seed, n, extra):
 def test_flat_early_exit_bit_identical(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
     view = g.freeze()
-    ref_dist, ref_pred = multi_target_dijkstra(g, u, [v])
+    ref_dist, ref_pred = dijkstra(g, u, targets=[v])
     dist, pred = view.sssp(u, targets=[v])
     assert list(dist.items()) == list(ref_dist.items())
     assert list(pred.items()) == list(ref_pred.items())
@@ -163,8 +164,6 @@ def test_flat_bidirectional_bit_identical(seed, n, extra):
 
 @property_case
 def test_flat_manhattan_astar_bit_identical(seed, n, extra):
-    from repro.graph.search import astar
-
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
     assert h is not None

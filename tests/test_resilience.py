@@ -387,10 +387,9 @@ class TestFaultInjectionEndToEnd:
         reference = RoutingSession(_arch_for(wide_circuit, 8), KMB).route(
             wide_circuit
         )
-        flat = RouterConfig(algorithm="kmb", graph_backend="flat")
         plan = FaultPlan(kill_on_materialize=0, state_dir=str(tmp_path))
         session = RoutingSession(
-            _arch_for(wide_circuit, 8), flat,
+            _arch_for(wide_circuit, 8), KMB,
             engine="process", max_workers=2, faults=plan,
         )
         result = session.route(wide_circuit)

@@ -1,12 +1,12 @@
 """Goal-directed search kernels: A*, bidirectional Dijkstra, heuristics.
 
-Covers the exactness contract of :mod:`repro.graph.search` (every kernel
-returns plain-Dijkstra distances), the admissibility machinery
-(lattice coordinates, Manhattan scale, ALT landmarks), the
-:class:`SearchPolicy` configuration surface, and the two satellite
-guarantees around it: the :class:`ShortestPathCache` never serves a
-goal-directed run where a plain-Dijkstra result is expected, and
-:class:`DijkstraBudget` overruns name the kernel that was active.
+Covers the exactness contract of the flat goal-directed kernels
+(``GraphView.astar`` / ``GraphView.bidirectional`` return plain
+Dijkstra distances), the admissibility machinery (lattice coordinates,
+Manhattan scale), the :class:`SearchPolicy` configuration surface, and
+the two guarantees around it: the :class:`ShortestPathCache` never
+serves a goal-directed run where a plain-Dijkstra result is expected,
+and :class:`DijkstraBudget` overruns name the kernel that was active.
 """
 
 from __future__ import annotations
@@ -21,18 +21,14 @@ from repro.graph import (
     DijkstraCounters,
     DijkstraBudget,
     Graph,
-    LandmarkIndex,
     SearchPolicy,
     SEARCH_BACKENDS,
     ShortestPathCache,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     grid_graph,
     lattice_coordinate,
     lattice_scale,
     manhattan_heuristic,
-    multi_target_dijkstra,
     path_cost,
     random_connected_graph,
     reconstruct_path,
@@ -62,7 +58,7 @@ class TestAstar:
         h = manhattan_heuristic(medium_grid, target)
         assert h is not None
         full, _ = dijkstra(medium_grid, (0, 0))
-        dist, _ = astar(medium_grid, (0, 0), target, h)
+        dist, _ = medium_grid.freeze().astar((0, 0), target, h)
         assert dist[target] == full[target]
 
     def test_zero_heuristic_matches_early_exit_dijkstra(self, medium_grid):
@@ -71,7 +67,8 @@ class TestAstar:
         predecessors coincide."""
         target = (7, 4)
         d_ref, p_ref = dijkstra(medium_grid, (0, 0), targets=[target])
-        d_ast, p_ast = astar(medium_grid, (0, 0), target, zero_heuristic)
+        view = medium_grid.freeze()
+        d_ast, p_ast = view.astar((0, 0), target, zero_heuristic)
         assert d_ast == d_ref
         assert p_ast == p_ref
 
@@ -83,18 +80,19 @@ class TestAstar:
         # weights >= 1 per unit move, so scale 1.0 stays admissible
         h = manhattan_heuristic(g, (7, 7), scale=1.0)
         full, _ = dijkstra(g, (0, 0))
-        dist, _ = astar(g, (0, 0), (7, 7), h)
+        dist, _ = g.freeze().astar((0, 0), (7, 7), h)
         assert dist[(7, 7)] == full[(7, 7)]
 
     def test_settles_fewer_nodes_than_full_run(self, medium_grid):
         h = manhattan_heuristic(medium_grid, (9, 0))
         full, _ = dijkstra(medium_grid, (0, 0))
-        dist, _ = astar(medium_grid, (0, 0), (9, 0), h)
+        dist, _ = medium_grid.freeze().astar((0, 0), (9, 0), h)
         assert len(dist) < len(full)
 
     def test_cutoff_limits_settled_set(self, medium_grid):
         h = manhattan_heuristic(medium_grid, (9, 9))
-        dist, _ = astar(medium_grid, (0, 0), (9, 9), h, cutoff=4.0)
+        view = medium_grid.freeze()
+        dist, _ = view.astar((0, 0), (9, 9), h, cutoff=4.0)
         assert (9, 9) not in dist
         assert all(d <= 4.0 for d in dist.values())
 
@@ -103,25 +101,25 @@ class TestAstar:
         def h(node):
             return 0.0 if node == "a" else float("inf")
 
-        dist, pred = astar(path_graph, "a", "e", h)
+        dist, pred = path_graph.freeze().astar("a", "e", h)
         assert dist == {"a": 0.0}
         assert pred == {}
 
     def test_missing_endpoints_raise(self, path_graph):
         with pytest.raises(GraphError):
-            astar(path_graph, "zz", "a", zero_heuristic)
+            path_graph.freeze().astar("zz", "a", zero_heuristic)
         with pytest.raises(GraphError):
-            astar(path_graph, "a", "zz", zero_heuristic)
+            path_graph.freeze().astar("a", "zz", zero_heuristic)
 
     def test_source_equals_target(self, path_graph):
-        dist, _ = astar(path_graph, "c", "c", zero_heuristic)
+        dist, _ = path_graph.freeze().astar("c", "c", zero_heuristic)
         assert dist["c"] == 0.0
 
 
 class TestBidirectionalDijkstra:
     def test_exact_on_grid(self, medium_grid):
         full, _ = dijkstra(medium_grid, (0, 0))
-        d, path = bidirectional_dijkstra(medium_grid, (0, 0), (9, 9))
+        d, path = medium_grid.freeze().bidirectional((0, 0), (9, 9))
         assert d == full[(9, 9)]
         assert path[0] == (0, 0) and path[-1] == (9, 9)
         assert path_cost(medium_grid, path) == d
@@ -133,7 +131,7 @@ class TestBidirectionalDijkstra:
         nodes = sorted(g.nodes, key=repr)
         src, dst = nodes[0], nodes[-1]
         full, _ = dijkstra(g, src)
-        d, path = bidirectional_dijkstra(g, src, dst)
+        d, path = g.freeze().bidirectional(src, dst)
         assert d == pytest.approx(full[dst], abs=0.0)
         assert path_cost(g, path) == pytest.approx(d)
 
@@ -141,18 +139,18 @@ class TestBidirectionalDijkstra:
         g = Graph()
         g.add_edge("a", "b", 1.0)
         g.add_edge("x", "y", 1.0)
-        d, path = bidirectional_dijkstra(g, "a", "y")
+        d, path = g.freeze().bidirectional("a", "y")
         assert d == float("inf")
         assert path is None
 
     def test_trivial_query(self, path_graph):
-        assert bidirectional_dijkstra(path_graph, "b", "b") == (0.0, ["b"])
+        assert path_graph.freeze().bidirectional("b", "b") == (0.0, ["b"])
 
     def test_missing_endpoints_raise(self, path_graph):
         with pytest.raises(GraphError):
-            bidirectional_dijkstra(path_graph, "zz", "a")
+            path_graph.freeze().bidirectional("zz", "a")
         with pytest.raises(GraphError):
-            bidirectional_dijkstra(path_graph, "a", "zz")
+            path_graph.freeze().bidirectional("a", "zz")
 
     def test_expands_less_than_full_run(self):
         g = grid_graph(14, 14)
@@ -161,15 +159,18 @@ class TestBidirectionalDijkstra:
         dijkstra(g, (0, 0))
         full_pops = counters.heap_pops
         counters.reset()
-        bidirectional_dijkstra(g, (0, 0), (3, 3))
+        g.freeze().bidirectional((0, 0), (3, 3))
         assert counters.heap_pops < full_pops
 
 
 class TestMultiTargetDijkstra:
+    """Early exit on several targets: the flat kernel stops once every
+    target settles, on an identical prefix of the full run."""
+
     def test_settles_all_targets_with_full_run_values(self, medium_grid):
         targets = [(9, 9), (0, 9), (5, 5)]
         full, full_pred = dijkstra(medium_grid, (0, 0))
-        dist, pred = multi_target_dijkstra(medium_grid, (0, 0), targets)
+        dist, pred = medium_grid.freeze().sssp((0, 0), targets=targets)
         for t in targets:
             assert dist[t] == full[t]
             # the settled prefix is bit-identical, path included
@@ -178,7 +179,7 @@ class TestMultiTargetDijkstra:
             )
 
     def test_stops_early(self, medium_grid):
-        dist, _ = multi_target_dijkstra(medium_grid, (0, 0), [(1, 1)])
+        dist, _ = medium_grid.freeze().sssp((0, 0), targets=[(1, 1)])
         assert len(dist) < medium_grid.num_nodes
 
 
@@ -247,57 +248,6 @@ class TestHeuristicSoundness:
         h = manhattan_heuristic(rrg.graph, target, scale=scale)
         assert_admissible_and_consistent(rrg.graph, target, h)
 
-    def test_alt_on_random_graph(self):
-        rnd = random.Random(11)
-        g = random_connected_graph(30, 60, rnd)
-        idx = LandmarkIndex(g, k=4)
-        target = sorted(g.nodes, key=repr)[-1]
-        h = idx.heuristic(target)
-        assert_admissible_and_consistent(g, target, h)
-
-
-class TestLandmarkIndex:
-    def test_deterministic_selection(self, small_grid):
-        a = LandmarkIndex(small_grid, k=3)
-        b = LandmarkIndex(grid_graph(6, 6), k=3)
-        assert a.landmarks == b.landmarks
-        assert a.landmarks[0] == sorted(small_grid.nodes, key=repr)[0]
-
-    def test_k_capped_at_node_count(self, path_graph):
-        idx = LandmarkIndex(path_graph, k=100)
-        assert len(idx.landmarks) == path_graph.num_nodes
-
-    def test_k_must_be_positive(self, path_graph):
-        with pytest.raises(GraphError):
-            LandmarkIndex(path_graph, k=0)
-
-    def test_freshness_tracks_version(self, small_grid):
-        idx = LandmarkIndex(small_grid, k=2)
-        assert idx.fresh(small_grid)
-        small_grid.set_weight((0, 0), (1, 0), 2.0)
-        assert not idx.fresh(small_grid)
-        assert not idx.fresh(grid_graph(6, 6))
-
-    def test_disconnected_graph_stays_admissible(self):
-        g = Graph()
-        for u, v in zip("abc", "bcd"):
-            g.add_edge(u, v, 1.0)
-        g.add_edge("x", "y", 1.0)
-        idx = LandmarkIndex(g, k=3)
-        h = idx.heuristic("d")
-        # nodes in the other component get bound 0, never inf/negative
-        assert h("x") == 0.0
-        assert_admissible_and_consistent(g, "d", h)
-
-    def test_alt_astar_is_exact(self):
-        rnd = random.Random(23)
-        g = random_connected_graph(35, 80, rnd)
-        idx = LandmarkIndex(g, k=3)
-        nodes = sorted(g.nodes, key=repr)
-        full, _ = dijkstra(g, nodes[0])
-        dist, _ = astar(g, nodes[0], nodes[-1], idx.heuristic(nodes[-1]))
-        assert dist[nodes[-1]] == full[nodes[-1]]
-
 
 class TestSearchPolicy:
     def test_backend_vocabulary(self):
@@ -308,8 +258,6 @@ class TestSearchPolicy:
     def test_validation(self):
         with pytest.raises(GraphError):
             SearchPolicy("auto", heuristic_scale=0.0)
-        with pytest.raises(GraphError):
-            SearchPolicy("auto", landmarks=-1)
 
     def test_for_architecture_scale(self):
         from repro.fpga import xc3000
@@ -325,9 +273,8 @@ class TestSearchPolicy:
             SearchPolicy("astar").key(),
             SearchPolicy("bidir").key(),
             SearchPolicy("astar", heuristic_scale=0.5).key(),
-            SearchPolicy("astar", landmarks=2).key(),
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     @pytest.mark.parametrize("backend", SEARCH_BACKENDS)
     def test_pair_distance_exact_on_grid(self, medium_grid, backend):
@@ -364,26 +311,10 @@ class TestSearchPolicy:
         h = policy.heuristic_for(small_grid, (5, 5))
         assert h((0, 0)) == 0.25 * 10
 
-    def test_landmark_fallback_on_general_graph(self):
-        rnd = random.Random(3)
-        g = random_connected_graph(25, 50, rnd)
-        policy = SearchPolicy("astar", landmarks=2)
-        nodes = sorted(g.nodes, key=repr)
-        h = policy.heuristic_for(g, nodes[-1])
-        assert h is not None and h.key[0] == "alt"
-        full, _ = dijkstra(g, nodes[0])
-        assert policy.pair_distance(g, nodes[0], nodes[-1]) == full[nodes[-1]]
-
 
 class TestCacheKernelIsolation:
-    """Satellite: a goal-directed run must never masquerade as plain
-    Dijkstra data — not as a full SSSP, not as a plain partial run."""
-
-    def test_partial_key_carries_kernel(self):
-        plain = ShortestPathCache._partial_key("s", ["t"], None)
-        kernel = ShortestPathCache._partial_key("s", ["t"], None, "astar")
-        assert plain != kernel
-        assert plain[3] == "dijkstra"
+    """A goal-directed run must never masquerade as plain Dijkstra
+    data — not as a full SSSP, not as a plain partial run."""
 
     def test_pair_query_never_creates_full_entry(self, medium_grid):
         cache = ShortestPathCache(medium_grid, search=SearchPolicy("astar"))
@@ -482,10 +413,11 @@ class TestBudgetsAcrossKernels:
     kernel was interrupted."""
 
     def run_kernel(self, backend, graph, source, target):
+        view = graph.freeze()
         if backend == "astar":
-            astar(graph, source, target, manhattan_heuristic(graph, target))
+            view.astar(source, target, manhattan_heuristic(graph, target))
         elif backend == "bidir":
-            bidirectional_dijkstra(graph, source, target)
+            view.bidirectional(source, target)
         else:
             dijkstra(graph, source, targets=[target])
 
@@ -530,7 +462,7 @@ class TestBudgetsAcrossKernels:
         with pytest.raises(EngineTimeoutError) as d_exc:
             dijkstra(g, (0, 0), targets=[(9, 9)])
         with pytest.raises(EngineTimeoutError) as a_exc:
-            astar(g, (0, 0), (9, 9), zero_heuristic)
+            g.freeze().astar((0, 0), (9, 9), zero_heuristic)
         assert (
             d_exc.value.partial["relaxations"]
             == a_exc.value.partial["relaxations"]
@@ -558,7 +490,7 @@ class TestPrunedCounter:
         counters = DijkstraCounters()
         set_dijkstra_counters(counters)
         h = manhattan_heuristic(medium_grid, (5, 5))
-        astar(medium_grid, (0, 0), (5, 5), h)
+        medium_grid.freeze().astar((0, 0), (5, 5), h)
         snap = counters.snapshot()
         assert snap["pruned"] > 0
         assert snap["calls"] == 1
@@ -566,7 +498,7 @@ class TestPrunedCounter:
     def test_bidir_records_both_frontiers(self, medium_grid):
         counters = DijkstraCounters()
         set_dijkstra_counters(counters)
-        bidirectional_dijkstra(medium_grid, (0, 0), (9, 9))
+        medium_grid.freeze().bidirectional((0, 0), (9, 9))
         snap = counters.snapshot()
         assert snap["calls"] == 1
         assert snap["heap_pops"] > 0 and snap["pruned"] > 0

@@ -2,13 +2,13 @@
 
 Two families of properties:
 
-* **Exactness** — every kernel (A* under Manhattan or ALT bounds,
-  bidirectional Dijkstra, early-exit Dijkstra) reports the plain
-  Dijkstra distance for arbitrary random graphs and endpoint pairs.
-* **Heuristic soundness** — the Manhattan and landmark bounds are
-  admissible (``h(v) ≤ d(v, t)``) and consistent
-  (``h(u) ≤ w(u, v) + h(v)``), which is the precondition the exactness
-  contract rests on.
+* **Exactness** — every flat kernel (A* under the Manhattan bound,
+  bidirectional Dijkstra, early-exit Dijkstra, and the negotiated
+  multi-source search) reports the plain Dijkstra distance for
+  arbitrary random graphs and endpoint pairs.
+* **Heuristic soundness** — the Manhattan bound is admissible
+  (``h(v) ≤ d(v, t)``) and consistent (``h(u) ≤ w(u, v) + h(v)``),
+  which is the precondition the exactness contract rests on.
 
 Runs under `hypothesis` when it is installed; otherwise the same
 property checks execute over a vendored corpus of seeds, so the suite
@@ -22,20 +22,18 @@ import random
 import pytest
 
 from repro.graph import (
-    LandmarkIndex,
     SEARCH_BACKENDS,
+    Graph,
     SearchPolicy,
-    astar,
-    bidirectional_dijkstra,
     dijkstra,
     grid_graph,
     lattice_scale,
     manhattan_heuristic,
-    multi_target_dijkstra,
     path_cost,
     random_connected_graph,
     reconstruct_path,
 )
+from repro.graph.flat import flat_negotiated_search
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -97,7 +95,7 @@ def make_weighted_grid(seed, n, extra):
 def test_bidirectional_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
     ref, _ = dijkstra(g, u)
-    d, path = bidirectional_dijkstra(g, u, v)
+    d, path = g.freeze().bidirectional(u, v)
     # exact up to the last ulp: the two searches may settle on distinct
     # equal-cost shortest paths whose float sums differ by one rounding
     assert d == pytest.approx(ref.get(v, float("inf")), rel=1e-12)
@@ -108,21 +106,12 @@ def test_bidirectional_distance_matches_dijkstra(seed, n, extra):
 
 
 @property_case
-def test_alt_astar_distance_matches_dijkstra(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    idx = LandmarkIndex(g, k=min(3, g.num_nodes))
-    ref, _ = dijkstra(g, u)
-    dist, _ = astar(g, u, v, idx.heuristic(v))
-    assert dist.get(v, float("inf")) == ref.get(v, float("inf"))
-
-
-@property_case
 def test_manhattan_astar_distance_matches_dijkstra(seed, n, extra):
     g, u, v = make_weighted_grid(seed, n, extra)
     h = manhattan_heuristic(g, v)
     assert h is not None  # weighted unit grids always admit a bound
     ref, _ = dijkstra(g, u)
-    dist, _ = astar(g, u, v, h)
+    dist, _ = g.freeze().astar(u, v, h)
     assert dist.get(v, float("inf")) == ref[v]
 
 
@@ -130,7 +119,7 @@ def test_manhattan_astar_distance_matches_dijkstra(seed, n, extra):
 def test_early_exit_prefix_is_bit_identical(seed, n, extra):
     g, u, v = make_graph(seed, n, extra)
     full_dist, full_pred = dijkstra(g, u)
-    dist, pred = multi_target_dijkstra(g, u, [v])
+    dist, pred = g.freeze().sssp(u, targets=[v])
     # every settled node carries the full run's distance AND pred
     for node, d in dist.items():
         assert d == full_dist[node]
@@ -170,19 +159,6 @@ def test_manhattan_heuristic_admissible_and_consistent(seed, n, extra):
 
 
 @property_case
-def test_landmark_heuristic_admissible_and_consistent(seed, n, extra):
-    g, u, v = make_graph(seed, n, extra)
-    idx = LandmarkIndex(g, k=min(4, g.num_nodes))
-    h = idx.heuristic(v)
-    ref, _ = dijkstra(g, v)
-    for node in g.nodes:
-        assert h(node) <= ref.get(node, float("inf")) + 1e-9
-    for a, b, w in g.edges():
-        assert h(a) <= w + h(b) + 1e-9
-        assert h(b) <= w + h(a) + 1e-9
-
-
-@property_case
 def test_trusted_scale_survives_weight_increase(seed, n, extra):
     """Congestion only multiplies weights up, so a scale bound derived
     once stays admissible after weights grow — the invariant the router
@@ -196,6 +172,47 @@ def test_trusted_scale_survives_weight_increase(seed, n, extra):
     ref, _ = dijkstra(g, v)
     for node in g.nodes:
         assert h(node) <= ref.get(node, float("inf")) + 1e-9
-    dist, _ = astar(g, u, v, h)
+    dist, _ = g.freeze().astar(u, v, h)
     full, _ = dijkstra(g, u)
     assert dist.get(v, float("inf")) == full[v]
+
+
+def reweighted_with_super_source(g, sources, factors, crit, offsets):
+    """An explicit copy of ``g`` under the negotiated metric, plus a
+    super-source wired to every seed at its offset."""
+    mix = (1.0 - crit) * 0.5
+    h = Graph()
+    for a, b, w in g.edges():
+        h.add_edge(a, b, w * (crit + mix * (factors[a] + factors[b])))
+    for s in sources:
+        h.add_edge("__super__", s, offsets.get(s, 0.0))
+    return h
+
+
+@property_case
+def test_negotiated_search_matches_reweighted_dijkstra(seed, n, extra):
+    """The negotiated kernel blends congestion into edge weights on the
+    fly; its target distance must equal a plain multi-source Dijkstra
+    over an explicitly reweighted copy of the graph."""
+    g, u, v = make_graph(seed, n, extra)
+    rnd = random.Random(seed + 3)
+    nodes = sorted(g.nodes, key=repr)
+    sources = rnd.sample(nodes, min(len(nodes), 1 + rnd.randrange(3)))
+    offsets = {s: rnd.choice((0.0, 0.5 * rnd.random())) for s in sources}
+    factors = {node: 1.0 + 3.0 * rnd.random() for node in nodes}
+    crit = rnd.choice((0.0, 0.25, 1.0))
+    flat = g.freeze().flat
+    table = [factors.get(node, 1.0) for node in flat.nodes]
+    dist, pred = flat_negotiated_search(
+        flat, sources, v, table, crit, offsets=offsets
+    )
+    ref, _ = dijkstra(
+        reweighted_with_super_source(g, sources, factors, crit, offsets),
+        "__super__",
+    )
+    assert dist[v] == pytest.approx(ref[v], rel=1e-12)
+    # walking pred back from the target ends at a seed
+    node = v
+    while node in pred:
+        node = pred[node]
+    assert node in sources

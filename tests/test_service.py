@@ -24,6 +24,7 @@ from repro.engine import RetryPolicy
 from repro.engine.faults import FaultPlan, SimulatedCrash
 from repro.errors import (
     AdmissionError,
+    FormatError,
     JobError,
     JournalError,
     ServiceError,
@@ -40,6 +41,8 @@ from repro.service import (
     JobStore,
     RoutingService,
     TERMINAL_STATES,
+    config_from_dict,
+    config_to_dict,
     read_journal,
     request_fingerprint,
 )
@@ -468,6 +471,44 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 # idempotent result dedupe
 # ----------------------------------------------------------------------
+class TestRequestConfig:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bogus": 1},
+            {"algorithm": "nope"},
+            {"max_passes": "5"},
+            {"congestion": 1},
+            {"graph_backend": "csr"},
+            ["kmb"],
+        ],
+    )
+    def test_malformed_config_is_a_format_error(self, doc):
+        with pytest.raises(FormatError):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("legacy", ["dict", "flat", "auto"])
+    def test_legacy_graph_backend_key_is_dropped(self, legacy):
+        doc = dict(config_to_dict(KMB), graph_backend=legacy)
+        assert config_from_dict(doc) == KMB
+
+    def test_store_with_legacy_config_recovers(self, small_circuit, tmp_path):
+        """A job journaled before ``graph_backend`` was retired still
+        routes to a verified result after a restart."""
+        service = RoutingService(str(tmp_path))
+        record = service.submit(small_circuit, config=KMB, width=3)
+        path = service.store.request_path(record.job_id)
+        with open(path, encoding="utf-8") as fh:
+            request = json.load(fh)
+        request["config"]["graph_backend"] = "auto"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(request, fh)
+        restarted = RoutingService(str(tmp_path))
+        assert restarted.run_until_idle() == 1
+        done = restarted.store.get(record.job_id)
+        assert done.state == "done" and done.verified
+
+
 class TestDedupe:
     def test_identical_resubmit_served_from_cache(
         self, small_circuit, tmp_path, reference
@@ -500,17 +541,24 @@ class TestDedupe:
         base = request_fingerprint(
             small_circuit, KMB, family="xc3000", width=3, w_max=40
         )
-        flat = request_fingerprint(
+        astar = request_fingerprint(
             small_circuit,
-            RouterConfig(algorithm="kmb", graph_backend="flat",
-                         search="astar"),
+            RouterConfig(algorithm="kmb", search="astar"),
             family="xc3000", width=3, w_max=40,
         )
-        assert base == flat  # engines are bit-identical by contract
+        assert base == astar  # search backends are bit-identical
         other_width = request_fingerprint(
             small_circuit, KMB, family="xc3000", width=4, w_max=40
         )
         assert base != other_width
+
+    def test_fingerprint_pinned_across_releases(self, small_circuit):
+        """Fingerprints key the result store on disk: a release that
+        changed them would silently stop deduping against every store
+        written before it."""
+        assert request_fingerprint(
+            small_circuit, KMB, family="xc3000", width=3, w_max=40
+        ) == "a6d7a3ccd9fc257cb72d1b97a891221b6a024ee396a7b078b14ddb8894d486bc"
 
     def test_queued_duplicate_adopts_result_at_claim(
         self, small_circuit, tmp_path, reference

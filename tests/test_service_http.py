@@ -218,6 +218,33 @@ class TestWire:
         with pytest.raises(FormatError):
             server.client._request("POST", "/v1/jobs", {"nets": []})
 
+    def test_malformed_configs_are_400s(self, server, small_circuit):
+        from repro.io import circuit_to_dict
+
+        body = json.dumps({
+            "circuit": circuit_to_dict(small_circuit),
+            "config": {"bogus": 1},
+            "width": 3,
+        }).encode("utf-8")
+        conn = http.client.HTTPConnection(
+            server.client.host, server.client.port, timeout=10
+        )
+        try:
+            conn.request(
+                "POST", "/v1/jobs", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+            assert response.status == 400
+            assert doc["error"]["type"] == "FormatError"
+        finally:
+            conn.close()
+        for config in ({"algorithm": "nope"}, {"max_passes": "5"}):
+            with pytest.raises(FormatError):
+                server.client.submit(small_circuit, config=config, width=3)
+        assert server.service.store.records() == []
+
     def test_unknown_paths_and_methods(self, server):
         for method, path, expected in (
             ("GET", "/v1/nope", 404),
